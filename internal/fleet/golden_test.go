@@ -1,0 +1,28 @@
+//go:build amd64 && !amd64.v3
+
+// The recorded digest holds for baseline amd64 only: where the compiler
+// contracts x*y+z into a fused multiply-add (arm64, ppc64, s390x,
+// GOAMD64=v3) the solver's bits legitimately differ.
+
+package fleet
+
+import "testing"
+
+// TestClusterGoldenDigest pins a small warm-carrying multi-round
+// cluster's digest fold to a recorded value. Cluster-vs-flat and
+// topology comparisons are relative; this one is absolute, so a decode
+// drift shared by every path still fails it.
+func TestClusterGoldenDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CS reconstruction sweep")
+	}
+	const want = 0x83a5dfa1e06a91c6
+	cfg := clusterCfg(3)
+	cfg.Rounds = 2
+	cfg.CarryWarm = true
+	cl, rep := runCluster(t, cfg)
+	defer cl.Close()
+	if rep.DigestFold != want {
+		t.Errorf("digest fold %#016x, recorded %#016x", rep.DigestFold, uint64(want))
+	}
+}
