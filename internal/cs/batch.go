@@ -1,7 +1,9 @@
 package cs
 
-// Batched structure-of-arrays FISTA. The engine dispatches K windows at
-// once; each window's coefficient vectors live as contiguous n-long
+// Batched structure-of-arrays FISTA — the decoder's only FISTA
+// implementation. The engine dispatches K windows at once and the
+// single-window entry points (Reconstruct*, fista.go) run as K=1
+// batches; each window's coefficient vectors live as contiguous n-long
 // stripes ("planes") of shared backing slices, Φ derived state is read
 // once per batch, and every CSR walk / wavelet transform of an
 // iteration sweeps all still-active planes (internal/wavelet/batch.go,
@@ -11,12 +13,13 @@ package cs
 // global iterations, so a converged window simply drops out of the
 // active plane list without stalling the rest.
 //
-// Bit-identity contract: per window the floating-point operation
-// sequence equals the sequential solver exactly — solving K windows
-// batched returns bit-identical signals and identical SolveStats to K
-// sequential Reconstruct*Warm calls, at every K (batch_test.go pins
-// this). That is what lets gateway.Engine form batches opportunistically
-// without changing any output.
+// Contract: K-invariance. Per window the floating-point operation
+// sequence does not depend on the batch it rides in, so K windows
+// batched return bit-identical signals and identical SolveStats to K
+// single-window Reconstruct*Warm calls, at every K (batch_test.go), and
+// those outputs equal the digests recorded in golden_test.go. That is
+// what lets gateway.Engine form batches opportunistically without
+// changing any output.
 
 import (
 	"math"
@@ -100,6 +103,12 @@ type batchScratch struct {
 	itemRemaining []int   // leads: unfinished planes per item
 
 	lt, lp, lm, lg [][]float64 // joint per-lead stripe views (reused)
+
+	// The single-window wrappers' pooled K=1 batch: one item, the slice
+	// holding it, and one-lead Y/X headers.
+	one        BatchItem
+	oneItem    [1]*BatchItem
+	oneY, oneX [1][]float64
 }
 
 func (bs *batchScratch) ensure(planes, items, n, m, mats, maxL int) {
@@ -150,14 +159,31 @@ func (bs *batchScratch) ensure(planes, items, n, m, mats, maxL int) {
 // nStripe returns plane p's n-long stripe of buf.
 func nStripe(buf []float64, p, n int) []float64 { return buf[p*n : p*n+n] }
 
-func (d *Decoder) getBatchScratch(planes, items, maxL int) *batchScratch {
-	bs := d.bpool.Get().(*batchScratch)
-	bs.ensure(planes, items, d.n, d.m, len(d.phis), maxL)
-	return bs
+func newBatchPool() *sync.Pool {
+	return &sync.Pool{New: func() any {
+		bs := &batchScratch{}
+		bs.oneItem[0] = &bs.one
+		return bs
+	}}
 }
 
-func newBatchPool() *sync.Pool {
-	return &sync.Pool{New: func() any { return &batchScratch{} }}
+// getBatchScratch takes a pooled scratch for a public batch call. Its
+// items' outputs start fresh, so a reused item never shares X headers
+// with an earlier call's results.
+func (d *Decoder) getBatchScratch(items []*BatchItem) *batchScratch {
+	for _, it := range items {
+		it.X = nil
+	}
+	return d.bpool.Get().(*batchScratch)
+}
+
+// outHeaders returns x resized to L lead slots, reusing its capacity
+// (the single-lead wrapper's pooled header) or allocating.
+func outHeaders(x [][]float64, L int) [][]float64 {
+	if cap(x) < L {
+		return make([][]float64, L)
+	}
+	return x[:L]
 }
 
 // matrixIndexFor returns the d.phis index lead l resolves to.
@@ -225,8 +251,8 @@ func (d *Decoder) applyBatchGroups(x, y []float64, planes []int, bs *batchScratc
 
 // gradBatch computes grad_p = ΨᵀΦᵀ(ΦΨ mom_p − y_p) for every listed
 // plane: one batched synthesis, one batched Φ, a per-plane residual
-// subtraction, one batched Φᵀ and one batched analysis — the sequential
-// gradInto pipeline amortised over the active planes.
+// subtraction, one batched Φᵀ and one batched analysis — gradInto's
+// pipeline amortised over the active planes.
 func (d *Decoder) gradBatch(planes []int, bs *batchScratch) {
 	d.synthBatch(bs.mom, bs.x, planes, bs)
 	d.applyBatchGroups(bs.x, bs.ax, planes, bs, true)
@@ -259,7 +285,10 @@ func (d *Decoder) initLambdas(planes []int, bs *batchScratch) {
 	}
 }
 
-// objectivePlane is objectiveSingle over plane state (same FP order).
+// objectivePlane evaluates F(θ) = ½‖ΦΨθ − y‖² + λ‖W·rw·θ‖₁ for one
+// plane under its current reweighting. It is called only once the
+// relative-change test has passed, so its cost — about half a gradient
+// — is paid a handful of times per solve.
 func (d *Decoder) objectivePlane(phi Matrix, theta, y []float64, lambda float64, rw []float64, bs *batchScratch) float64 {
 	objX := bs.objX[:d.n]
 	objAx := bs.objAx[:d.m]
@@ -281,7 +310,9 @@ func (d *Decoder) objectivePlane(phi Matrix, theta, y []float64, lambda float64,
 	return 0.5*data + lambda*pen
 }
 
-// divergedPlane is divergedSingle over plane state (same FP order).
+// divergedPlane reports whether a plane's final iterate explains its
+// data worse than the zero vector (‖ΦΨθ − y‖² > ‖y‖², or non-finite) —
+// the warm-start fallback trigger.
 func (d *Decoder) divergedPlane(phi Matrix, theta, y []float64, bs *batchScratch) bool {
 	objX := bs.objX[:d.n]
 	objAx := bs.objAx[:d.m]
@@ -300,8 +331,10 @@ func (d *Decoder) divergedPlane(phi Matrix, theta, y []float64, bs *batchScratch
 	return !(num <= den)
 }
 
-// seedPlanePass applies solveSingle's per-pass seeding switch to one
-// plane and resets its per-pass momentum/objective state.
+// seedPlanePass seeds one plane's pass — the warm seed on a warm first
+// pass, the running estimate on later warm passes (reweighting refines
+// it instead of restarting), zero when cold — and resets its per-pass
+// momentum/objective state.
 func (d *Decoder) seedPlanePass(p *planeState, pi int, items []*BatchItem, bs *batchScratch) {
 	n := d.n
 	th := nStripe(bs.theta, pi, n)
@@ -342,9 +375,7 @@ func (d *Decoder) stepPlane(pi int, items []*BatchItem, bs *batchScratch) bool {
 	adaptive := d.cfg.Tol > 0
 	tol := d.cfg.Tol
 	// One fused sweep: prev snapshot, soft-threshold, convergence and
-	// restart accumulators. Each accumulator keeps the sequential
-	// solver's i-ascending order and every per-element value is
-	// unchanged, so the fusion is bit-identical.
+	// restart accumulators, each accumulated in i-ascending order.
 	lamStep := step * p.lambda
 	weights := d.weights
 	var diffSq, normSq, dot float64
@@ -452,14 +483,24 @@ func (d *Decoder) endPlanePass(pi int, items []*BatchItem, bs *batchScratch) boo
 }
 
 // ReconstructLeadsBatch reconstructs every item's leads independently
-// (the per-lead ℓ1 solver) in one structure-of-arrays pass. Per item it
-// is bit-identical to ReconstructLeadsWarm(item.Y, item.Warm), at every
-// batch size.
+// (the per-lead ℓ1 solver) in one structure-of-arrays pass. Per item the
+// result does not depend on the batch: it equals
+// ReconstructLeadsWarm(item.Y, item.Warm) bit for bit, at every batch
+// size.
 func (d *Decoder) ReconstructLeadsBatch(items []*BatchItem) {
+	bs := d.getBatchScratch(items)
+	defer d.bpool.Put(bs)
+	d.leadsBatch(items, bs)
+}
+
+// leadsBatch is ReconstructLeadsBatch on a caller-held scratch. Items
+// are validated before any is solved; an invalid item's warm state is
+// left untouched.
+func (d *Decoder) leadsBatch(items []*BatchItem, bs *batchScratch) {
 	total := 0
 	maxL := 1
 	for _, it := range items {
-		it.X, it.Err, it.Stats = nil, nil, SolveStats{}
+		it.Err, it.Stats = nil, SolveStats{}
 		ok := true
 		for _, y := range it.Y {
 			if len(y) != d.m {
@@ -476,8 +517,7 @@ func (d *Decoder) ReconstructLeadsBatch(items []*BatchItem) {
 			maxL = len(it.Y)
 		}
 	}
-	bs := d.getBatchScratch(total, len(items), maxL)
-	defer d.bpool.Put(bs)
+	bs.ensure(total, len(items), d.n, d.m, len(d.phis), maxL)
 	bs.planes = bs.planes[:0]
 	bs.active = bs.active[:0]
 	for ii, it := range items {
@@ -485,7 +525,7 @@ func (d *Decoder) ReconstructLeadsBatch(items []*BatchItem) {
 			continue
 		}
 		it.Warm.prepare(len(it.Y), d.n)
-		it.X = make([][]float64, len(it.Y))
+		it.X = outHeaders(it.X, len(it.Y))
 		bs.itemRemaining[ii] = len(it.Y)
 		for l, y := range it.Y {
 			pi := len(bs.planes)

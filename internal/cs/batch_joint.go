@@ -9,8 +9,9 @@ package cs
 
 import "math"
 
-// objectiveJointItem is objectiveJoint over one item's plane stripes
-// (same FP order).
+// objectiveJointItem evaluates the group-sparse objective
+// Σ_l ½‖Φ_l Ψθ_l − ysn_l‖² + λ Σ_j w_j rw_j ‖θ_{·j}‖₂ over one item's
+// plane stripes, on the unit-RMS measurements.
 func (d *Decoder) objectiveJointItem(jt *jointState, bs *batchScratch) float64 {
 	n := d.n
 	objX := bs.objX[:n]
@@ -48,8 +49,9 @@ func (d *Decoder) objectiveJointItem(jt *jointState, bs *batchScratch) float64 {
 	return 0.5*data + jt.lambda*pen
 }
 
-// divergedJointItem is divergedJoint over one item's plane stripes
-// (same FP order).
+// divergedJointItem is divergedPlane for one item's joint iterate: the
+// summed data term must not exceed the energy of the (unit-RMS)
+// measurements.
 func (d *Decoder) divergedJointItem(jt *jointState, bs *batchScratch) bool {
 	n := d.n
 	objX := bs.objX[:n]
@@ -74,8 +76,8 @@ func (d *Decoder) divergedJointItem(jt *jointState, bs *batchScratch) bool {
 	return !(num <= den)
 }
 
-// seedJointPass applies solveJoint's per-pass seeding switch to one
-// item's planes and resets its per-pass momentum/objective state.
+// seedJointPass is seedPlanePass for all of one item's planes, which
+// share the item's pass state.
 func (d *Decoder) seedJointPass(jt *jointState, items []*BatchItem, bs *batchScratch) {
 	n := d.n
 	for l := 0; l < jt.L; l++ {
@@ -308,14 +310,24 @@ func (d *Decoder) endJointPass(ji int, items []*BatchItem, bs *batchScratch) boo
 }
 
 // ReconstructJointBatch reconstructs every item with the multi-lead
-// group-sparse solver in one structure-of-arrays pass. Per item it is
-// bit-identical to ReconstructJointWarm(item.Y, item.Warm), at every
-// batch size.
+// group-sparse solver in one structure-of-arrays pass. Per item the
+// result does not depend on the batch: it equals
+// ReconstructJointWarm(item.Y, item.Warm) bit for bit, at every batch
+// size.
 func (d *Decoder) ReconstructJointBatch(items []*BatchItem) {
+	bs := d.getBatchScratch(items)
+	defer d.bpool.Put(bs)
+	d.jointBatch(items, bs)
+}
+
+// jointBatch is ReconstructJointBatch on a caller-held scratch. Items
+// are validated before any is solved; an invalid item's warm state is
+// left untouched.
+func (d *Decoder) jointBatch(items []*BatchItem, bs *batchScratch) {
 	total := 0
 	maxL := 1
 	for _, it := range items {
-		it.X, it.Err, it.Stats = nil, nil, SolveStats{}
+		it.Err, it.Stats = nil, SolveStats{}
 		if len(it.Y) == 0 {
 			it.Err = ErrSolver
 			continue
@@ -339,8 +351,7 @@ func (d *Decoder) ReconstructJointBatch(items []*BatchItem) {
 	if total == 0 {
 		return
 	}
-	bs := d.getBatchScratch(total, len(items), maxL)
-	defer d.bpool.Put(bs)
+	bs.ensure(total, len(items), d.n, d.m, len(d.phis), maxL)
 	bs.planes = bs.planes[:0]
 	bs.joints = bs.joints[:0]
 	for ii, it := range items {
@@ -349,11 +360,11 @@ func (d *Decoder) ReconstructJointBatch(items []*BatchItem) {
 		}
 		L := len(it.Y)
 		base := len(bs.planes)
-		it.X = make([][]float64, L)
+		it.X = outHeaders(it.X, L)
 		for l, y := range it.Y {
 			pi := len(bs.planes)
 			it.X[l] = make([]float64, d.n)
-			// Unit-RMS normalisation per lead, exactly as reconstructJoint.
+			// Unit-RMS normalisation per lead.
 			rms := 0.0
 			for _, v := range y {
 				rms += v * v

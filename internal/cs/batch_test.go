@@ -31,8 +31,8 @@ func batchFixture(t *testing.T, n, windows int, seed int64) (*SparseBinary, [][]
 	return phi, meas
 }
 
-// expectIdentical compares a batch item against the sequential solver's
-// output and stats bit for bit.
+// expectIdentical compares a batch item against a single-window
+// (K=1) solve's output and stats bit for bit.
 func expectIdentical(t *testing.T, label string, it *BatchItem, ref [][]float64, refSt SolveStats, refErr error) {
 	t.Helper()
 	if (it.Err == nil) != (refErr == nil) {
@@ -59,9 +59,10 @@ func expectIdentical(t *testing.T, label string, it *BatchItem, ref [][]float64,
 // TestBatchBitIdentity pins the central contract: for every batch size,
 // solver family (independent ℓ1 / joint ℓ2,1), budget mode (fixed /
 // Tol-adaptive) and seeding (cold / warm across two windows), the
-// batched solver's outputs and stats equal K sequential solves bit for
-// bit. K=1 covers the engine's low-load path; the larger K prove the
-// SoA kernels preserve per-window FP order.
+// batched solver's outputs and stats equal K single-window wrapper
+// solves bit for bit (K-invariance; golden_test.go pins the wrappers'
+// absolute outputs). The larger K prove the SoA kernels preserve
+// per-window FP order.
 func TestBatchBitIdentity(t *testing.T) {
 	const n = 512
 	phi, meas := batchFixture(t, n, 2, 21)

@@ -137,8 +137,9 @@ func TestCloneReconstructsIdentically(t *testing.T) {
 }
 
 // Steady-state Reconstruct must stay at or under 2 allocs per call (the
-// returned signal plus pool bookkeeping) — the PR's allocation-discipline
-// acceptance bar. A small slack absorbs GC-emptied pools mid-run.
+// returned signal plus pool bookkeeping) — the allocation-discipline
+// acceptance bar. A small slack absorbs GC-emptied pools mid-run. The
+// warm entry points are bounded exactly at their output allocations.
 func TestReconstructSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector defeats sync.Pool caching; alloc counts are meaningless")
@@ -166,5 +167,35 @@ func TestReconstructSteadyStateAllocs(t *testing.T) {
 	// Joint returns L+1 fresh slices; everything else must be pooled.
 	if jallocs > float64(len(ys))+2 {
 		t.Errorf("ReconstructJoint steady state: %.2f allocs/op, want <= %d", jallocs, len(ys)+2)
+	}
+	// The warm entry points with a live WarmState: only the returned
+	// signal may allocate — one slice per lead plus the lead header for
+	// the multi-lead calls. The single-lead call decodes through a
+	// pooled batch item and header, so it allocates its signal alone.
+	L := len(ys)
+	for _, c := range []struct {
+		name  string
+		solve func(ws *WarmState) error
+		max   int
+	}{
+		{"ReconstructWarm", func(ws *WarmState) error { _, _, err := dec.ReconstructWarm(y, ws); return err }, 1},
+		{"ReconstructLeadsWarm", func(ws *WarmState) error { _, _, err := dec.ReconstructLeadsWarm(ys, ws); return err }, L + 1},
+		{"ReconstructJointWarm", func(ws *WarmState) error { _, _, err := dec.ReconstructJointWarm(ys, ws); return err }, L + 1},
+	} {
+		ws := NewWarmState()
+		if err := c.solve(ws); err != nil {
+			t.Fatal(err)
+		}
+		if !ws.Valid() {
+			t.Fatalf("%s: warm state not committed", c.name)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := c.solve(ws); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > float64(c.max) {
+			t.Errorf("%s steady state: %.2f allocs/op, want <= %d", c.name, allocs, c.max)
+		}
 	}
 }

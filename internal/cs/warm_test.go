@@ -253,6 +253,49 @@ func TestWarmStateShape(t *testing.T) {
 	}
 }
 
+// TestWarmStatePartialFailureUntouched is the warm-state poisoning
+// regression: a window whose second lead is mis-sized must fail with
+// ErrSolver before any lead is solved, leaving the carried coefficients
+// and their validity exactly as the previous window committed them —
+// never a half-updated state that still reports Valid.
+func TestWarmStatePartialFailureUntouched(t *testing.T) {
+	dec, _, ys := buildTestDecoder(t, 15, 0)
+	n := 512
+	bad := [][]float64{ys[0], ys[1][:len(ys[1])-1], ys[2]}
+	for _, joint := range []bool{false, true} {
+		solve := func(y [][]float64, ws *WarmState) error {
+			var err error
+			if joint {
+				_, _, err = dec.ReconstructJointWarm(y, ws)
+			} else {
+				_, _, err = dec.ReconstructLeadsWarm(y, ws)
+			}
+			return err
+		}
+		ws := NewWarmState()
+		if err := solve(ys, ws); err != nil {
+			t.Fatal(err)
+		}
+		before := make([]float32, SnapshotLen(len(ys), n))
+		if !ws.SnapshotInto(before, len(ys), n) {
+			t.Fatal("no committed state after a clean window")
+		}
+		if err := solve(bad, ws); err != ErrSolver {
+			t.Fatalf("joint=%v: mis-sized lead: err = %v, want ErrSolver", joint, err)
+		}
+		after := make([]float32, SnapshotLen(len(ys), n))
+		if !ws.SnapshotInto(after, len(ys), n) {
+			t.Fatalf("joint=%v: failed window invalidated the carried state", joint)
+		}
+		for i := range before {
+			if before[i] != after[i] {
+				t.Fatalf("joint=%v: failed window rewrote carried coefficient %d (%g -> %g)",
+					joint, i, before[i], after[i])
+			}
+		}
+	}
+}
+
 // TestReconstructWarmRaceHammer checks the engine-shaped usage: cloned
 // decoders on separate goroutines, each streaming its own windows with
 // its own WarmState, must reproduce the serial reference bit for bit.

@@ -28,8 +28,8 @@ func copyLeads(xs [][]float64) [][]float64 {
 	return out
 }
 
-// warmReference decodes every window in order through the sequential
-// scalar warm path, returning one snapshot per window. Every warm
+// warmReference decodes every window in order through a one-window-
+// per-dispatch engine, returning one snapshot per window. Every warm
 // stream that replays these windows — batched or not — must reproduce
 // it bit for bit.
 func warmReference(t *testing.T, cfg Config, windows [][][]float64) [][][]float64 {
@@ -52,8 +52,8 @@ func warmReference(t *testing.T, cfg Config, windows [][][]float64) [][][]float6
 }
 
 // A batch>1 engine folding warm windows from several streams into one
-// structure-of-arrays solver pass must produce exactly the sequential
-// scalar output for every stream — the engine-level face of the solver
+// structure-of-arrays solver pass must produce exactly the one-window
+// output for every stream — the engine-level face of the solver
 // bit-identity contract. Covers both the greedy-only and the
 // BatchWait deadline-bounded batch-forming policies, and a stream
 // count that is not a multiple of the batch so partial batches form.

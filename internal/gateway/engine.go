@@ -34,10 +34,11 @@ type EngineConfig struct {
 	Queue int
 	// Batch is the most queued windows one worker dispatch reconstructs
 	// in a single structure-of-arrays solver pass (cs.Reconstruct*Batch).
-	// 0 or 1 keeps the sequential one-window-per-dispatch path. Batched
+	// 0 or 1 dispatches one window at a time (a K=1 batch). Batched
 	// dispatch is opportunistic — a worker takes whatever is queued up to
-	// Batch, it never idles waiting for a full batch — and per window the
-	// output is bit-identical to the sequential path at every fill level.
+	// Batch, it never idles waiting for a full batch — and the solver is
+	// K-invariant: per window the output is bit-identical at every fill
+	// level.
 	Batch int
 	// BatchWait bounds how long a worker holding a partial batch waits
 	// for more windows before dispatching it; 0 dispatches immediately
@@ -150,7 +151,13 @@ func (e *Engine) worker(dec *cs.Decoder) {
 	defer e.wg.Done()
 	maxB := e.ecfg.Batch
 	batch := make([]*Job, 0, maxB)
-	items := make([]*cs.BatchItem, 0, maxB)
+	// Batch items are reused across dispatches: a dispatch allocates
+	// only its outputs.
+	slots := make([]cs.BatchItem, maxB)
+	items := make([]*cs.BatchItem, maxB)
+	for i := range items {
+		items[i] = &slots[i]
+	}
 	var timer *time.Timer
 	for {
 		j, ok := <-e.jobs
@@ -162,7 +169,7 @@ func (e *Engine) worker(dec *cs.Decoder) {
 		if maxB > 1 {
 			drained = e.formBatch(&batch, &timer)
 		}
-		e.runBatch(dec, batch, items[:0])
+		e.runBatch(dec, batch, items[:len(batch)])
 		if drained {
 			return
 		}
@@ -213,9 +220,10 @@ greedy:
 	return false
 }
 
-// runBatch reconstructs one formed batch — one window through the
-// sequential solver, several through one structure-of-arrays pass — and
-// fans results, stats and telemetry back to the individual jobs.
+// runBatch reconstructs one formed batch in one structure-of-arrays
+// solver pass (a lone window is a K=1 batch) and fans results, stats and
+// telemetry back to the individual jobs. items holds one reusable slot
+// per job.
 func (e *Engine) runBatch(dec *cs.Decoder, batch []*Job, items []*cs.BatchItem) {
 	tm := e.tel
 	anyTraced := false
@@ -246,32 +254,22 @@ func (e *Engine) runBatch(dec *cs.Decoder, batch []*Job, items []*cs.BatchItem) 
 			}
 		}
 	}
-	if len(batch) == 1 {
-		j := batch[0]
-		// The warm variants with a nil WarmState run the identical cold
-		// compute, so routing every job through them changes nothing for
-		// plain submissions while giving warm jobs and telemetry one path.
-		if e.cfg.DisableJoint {
-			j.leads, j.stats, j.err = dec.ReconstructLeadsWarm(j.measurements, j.ws)
-		} else {
-			j.leads, j.stats, j.err = dec.ReconstructJointWarm(j.measurements, j.ws)
-		}
+	// Distinct streams never share a WarmState and each stream has at
+	// most one job in flight (the SubmitWarm contract), so the batch
+	// holds at most one window per warm state — exactly the
+	// cs.BatchItem sequencing contract. A nil WarmState runs the
+	// identical cold compute, so plain and warm jobs share this path.
+	for i, j := range batch {
+		*items[i] = cs.BatchItem{Y: j.measurements, Warm: j.ws}
+	}
+	if e.cfg.DisableJoint {
+		dec.ReconstructLeadsBatch(items)
 	} else {
-		// Distinct streams never share a WarmState and each stream has at
-		// most one job in flight (the SubmitWarm contract), so the batch
-		// holds at most one window per warm state — exactly the
-		// cs.BatchItem sequencing contract.
-		for _, j := range batch {
-			items = append(items, &cs.BatchItem{Y: j.measurements, Warm: j.ws})
-		}
-		if e.cfg.DisableJoint {
-			dec.ReconstructLeadsBatch(items)
-		} else {
-			dec.ReconstructJointBatch(items)
-		}
-		for i, j := range batch {
-			j.leads, j.stats, j.err = items[i].X, items[i].Stats, items[i].Err
-		}
+		dec.ReconstructJointBatch(items)
+	}
+	for i, j := range batch {
+		j.leads, j.stats, j.err = items[i].X, items[i].Stats, items[i].Err
+		*items[i] = cs.BatchItem{}
 	}
 	var dur time.Duration
 	if tm != nil || anyTraced {
