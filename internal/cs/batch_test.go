@@ -276,6 +276,22 @@ func TestBatchWarmCommitAcrossRecords(t *testing.T) {
 	}
 }
 
+// poisonedState returns a committed warm state whose coefficients make
+// the warm solve diverge, forcing the cold fallback.
+func poisonedState(leads, n int) *WarmState {
+	ws := NewWarmState()
+	ws.prepare(leads, n)
+	bad := make([]float64, n)
+	for i := range bad {
+		bad[i] = 1e12
+	}
+	for l := 0; l < leads; l++ {
+		ws.store(l, bad)
+	}
+	ws.commit()
+	return ws
+}
+
 // TestBatchColdFallback poisons one item's warm state inside a batch
 // and checks that item re-solves cold (bit-identical to a cold solve)
 // while its batchmates are untouched.
@@ -285,19 +301,6 @@ func TestBatchColdFallback(t *testing.T) {
 	dec, err := NewDecoder(phi, SolverConfig{Iters: 3, MinIters: 1, Tol: 1e-3})
 	if err != nil {
 		t.Fatal(err)
-	}
-	poison := func(leads int) *WarmState {
-		ws := NewWarmState()
-		ws.prepare(leads, n)
-		bad := make([]float64, n)
-		for i := range bad {
-			bad[i] = 1e12
-		}
-		for l := 0; l < leads; l++ {
-			ws.store(l, bad)
-		}
-		ws.commit()
-		return ws
 	}
 	for _, joint := range []bool{false, true} {
 		solveSeq := func(y [][]float64, ws *WarmState) ([][]float64, SolveStats) {
@@ -315,10 +318,10 @@ func TestBatchColdFallback(t *testing.T) {
 			return x, st
 		}
 		coldX, _ := solveSeq(meas[0], nil)
-		refPoisonX, refPoisonSt := solveSeq(meas[0], poison(len(meas[0])))
+		refPoisonX, refPoisonSt := solveSeq(meas[0], poisonedState(len(meas[0]), n))
 		cleanX, cleanSt := solveSeq(meas[1], nil)
 		items := []*BatchItem{
-			{Y: meas[0], Warm: poison(len(meas[0]))},
+			{Y: meas[0], Warm: poisonedState(len(meas[0]), n)},
 			{Y: meas[1]},
 		}
 		if joint {

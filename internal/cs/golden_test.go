@@ -116,22 +116,6 @@ func goldenSolve(t *testing.T, dec *Decoder, solver string, meas [][][]float64, 
 	return xs, sts
 }
 
-// poisonedState returns a committed warm state whose coefficients make
-// the warm solve diverge, forcing the cold fallback.
-func poisonedState(leads, n int) *WarmState {
-	ws := NewWarmState()
-	ws.prepare(leads, n)
-	bad := make([]float64, n)
-	for i := range bad {
-		bad[i] = 1e12
-	}
-	for l := 0; l < leads; l++ {
-		ws.store(l, bad)
-	}
-	ws.commit()
-	return ws
-}
-
 // TestSolverGoldenDigests pins the FISTA decoders' absolute output.
 // Every other decode comparison in the repo is relative (batch vs K=1,
 // networked vs in-process, cluster vs flat), so a drift that moves both

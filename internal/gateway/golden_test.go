@@ -14,7 +14,9 @@ import (
 )
 
 // signalDigest is FNV-1a over a multi-lead signal's exact bit patterns
-// (lead count, then each lead's length and samples).
+// (lead count, then each lead's length and samples) — the encoding of
+// netgw.SignalDigest, which this package cannot import (netgw imports
+// gateway).
 func signalDigest(signal [][]float64) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
