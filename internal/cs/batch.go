@@ -87,6 +87,7 @@ type batchScratch struct {
 	y, ax                            []float64 // planeCap*m
 
 	ws  wavelet.BatchScratch // batched DWT ping-pong buffers
+	pad []float64            // 2·max(n, m): padding lanes of the Φ kernels' short tiles
 	sws wavelet.Scratch      // scalar DWT scratch (objective/output paths)
 
 	objX  []float64 // n — per-plane objective/divergence work
@@ -144,6 +145,9 @@ func (bs *batchScratch) ensure(planes, items, n, m, mats, maxL int) {
 	}
 	if len(bs.objAx) < m {
 		bs.objAx = make([]float64, m)
+	}
+	if len(bs.pad) < 2*max(n, m) {
+		bs.pad = make([]float64, 2*max(n, m))
 	}
 	for len(bs.groups) < mats {
 		bs.groups = append(bs.groups, nil)
@@ -221,9 +225,9 @@ func (d *Decoder) applyBatchGroups(x, y []float64, planes []int, bs *batchScratc
 	run := func(phi Matrix, group []int) {
 		if ba, ok := phi.(batchApplier); ok {
 			if forward {
-				ba.applyBatch(x, d.n, y, d.m, group)
+				ba.applyBatch(x, d.n, y, d.m, group, bs.pad)
 			} else {
-				ba.applyTBatch(x, d.m, y, d.n, group)
+				ba.applyTBatch(x, d.m, y, d.n, group, bs.pad)
 			}
 			return
 		}

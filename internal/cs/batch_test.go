@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"wbsn/internal/ecg"
+	"wbsn/internal/wavelet"
 )
 
 // batchFixture builds a shared matrix, encoder and a multi-lead record
@@ -383,7 +384,10 @@ func TestBatchRejectsMalformedItems(t *testing.T) {
 
 // TestBatchKernelsMatchScalar pins the bit-identity of the batched
 // sensing-matrix kernels against Apply/ApplyT, including zero residual
-// entries (whose row skip the batch kernel intentionally drops).
+// entries (whose row skip the batch kernel intentionally drops), at
+// every padded short-tile width alone (P=1..3) and after a full tile.
+// A trailing unlisted stripe poisoned with NaN must stay untouched and
+// the padding lanes' read stripe must stay zero.
 func TestBatchKernelsMatchScalar(t *testing.T) {
 	const n = 256
 	m := MeasurementsForCR(n, 65.9)
@@ -392,9 +396,11 @@ func TestBatchKernelsMatchScalar(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(82))
-	for _, P := range []int{1, 3, 4, 5, 9} {
-		x := make([]float64, P*n)
-		r := make([]float64, P*m)
+	var bs batchScratch
+	for _, P := range []int{1, 2, 3, 4, 5, 6, 7, 9} {
+		bs.ensure(P, 1, n, m, 1, 1)
+		x := make([]float64, (P+1)*n)
+		r := make([]float64, (P+1)*m)
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
@@ -414,10 +420,16 @@ func TestBatchKernelsMatchScalar(t *testing.T) {
 		for p := range planes {
 			planes[p] = p
 		}
-		y := make([]float64, P*m)
-		z := make([]float64, P*n)
-		phi.applyBatch(x, n, y, m, planes)
-		phi.applyTBatch(r, m, z, n, planes)
+		y := make([]float64, (P+1)*m)
+		z := make([]float64, (P+1)*n)
+		for i := P * m; i < len(y); i++ {
+			y[i] = math.NaN()
+		}
+		for i := P * n; i < len(z); i++ {
+			z[i] = math.NaN()
+		}
+		phi.applyBatch(x, n, y, m, planes, bs.pad)
+		phi.applyTBatch(r, m, z, n, planes, bs.pad)
 		for p := 0; p < P; p++ {
 			yRef := make([]float64, m)
 			zRef := make([]float64, n)
@@ -432,6 +444,72 @@ func TestBatchKernelsMatchScalar(t *testing.T) {
 				if z[p*n+i] != zRef[i] {
 					t.Fatalf("P=%d plane %d: applyTBatch[%d] = %v, scalar %v", P, p, i, z[p*n+i], zRef[i])
 				}
+			}
+		}
+		for i := P * m; i < len(y); i++ {
+			if !math.IsNaN(y[i]) {
+				t.Fatalf("P=%d: applyBatch wrote unlisted stripe at %d", P, i-P*m)
+			}
+		}
+		for i := P * n; i < len(z); i++ {
+			if !math.IsNaN(z[i]) {
+				t.Fatalf("P=%d: applyTBatch wrote unlisted stripe at %d", P, i-P*n)
+			}
+		}
+		for i, v := range bs.pad[:len(bs.pad)/2] {
+			if v != 0 || math.Signbit(v) {
+				t.Fatalf("P=%d: padding read stripe [%d] = %v, want +0", P, i, v)
+			}
+		}
+	}
+}
+
+// TestBatchKernelsZeroAlloc pins that the four SoA kernels run every
+// tile width, padded short tiles included, on scratch alone: with a
+// warmed batchScratch no call allocates.
+func TestBatchKernelsZeroAlloc(t *testing.T) {
+	const n = 512
+	const levels = 5
+	m := MeasurementsForCR(n, 60)
+	phi, err := NewSparseBinary(m, n, 4, rand.New(rand.NewSource(83)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := wavelet.Daubechies8()
+	var bs batchScratch
+	bs.ensure(5, 1, n, m, 1, 1)
+	x := make([]float64, 5*n)
+	c := make([]float64, 5*n)
+	y := make([]float64, 5*m)
+	rng := rand.New(rand.NewSource(84))
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	for P := 1; P <= 5; P++ {
+		planes := make([]int, P)
+		for p := range planes {
+			planes[p] = p
+		}
+		for _, k := range []struct {
+			name string
+			run  func()
+		}{
+			{"ForwardBatchInto", func() {
+				if err := w.ForwardBatchInto(x, n, levels, planes, c, &bs.ws); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"InverseBatchInto", func() {
+				if err := w.InverseBatchInto(c, n, levels, planes, x, &bs.ws); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"applyBatch", func() { phi.applyBatch(x, n, y, m, planes, bs.pad) }},
+			{"applyTBatch", func() { phi.applyTBatch(y, m, x, n, planes, bs.pad) }},
+		} {
+			k.run() // warm the scratch
+			if allocs := testing.AllocsPerRun(20, k.run); allocs != 0 {
+				t.Errorf("%s P=%d: %.2f allocs/op, want 0", k.name, P, allocs)
 			}
 		}
 	}

@@ -408,7 +408,7 @@ func (e *Engine) DecodeWindows(windows [][][]float64) ([][][]float64, error) {
 }
 
 // Close shuts the pool down after in-flight jobs finish. Further
-// Submits fail with ErrGateway. Close is idempotent.
+// Submits fail with ErrEngineClosed. Close is idempotent.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	if e.closed {

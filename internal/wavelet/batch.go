@@ -7,8 +7,10 @@ package wavelet
 // contiguous stride-long stripes of a single backing slice. The win is
 // instruction-level parallelism: the scalar kernels carry an 8-tap
 // floating-point accumulation chain per output sample (latency-bound on
-// one window), while the 4-plane tiles below keep eight independent
-// accumulators live per tap loop (throughput-bound across windows).
+// one window), while the 4-lane tiles below keep eight independent
+// accumulators live per tap loop (throughput-bound across windows). A
+// short last tile of padFrom or more planes (every three-lead window)
+// runs padded through the same tile body.
 //
 // Bit-identity contract: for every plane, the sequence of floating-point
 // operations — tap order, accumulation order, scatter order — is exactly
@@ -21,18 +23,29 @@ package wavelet
 // and are reused across calls. Not safe for concurrent transforms.
 type BatchScratch struct {
 	a, b []float64
+	// pad backs a short tile's missing lanes: they read its first half,
+	// never written so zero, and write its second half, never read back.
+	pad []float64
 }
 
-// buffers returns two independent length-size work slices, growing the
-// backing arrays when needed.
-func (s *BatchScratch) buffers(size int) ([]float64, []float64) {
+// padFrom is the narrowest short last tile run padded through the 4-lane
+// body; one or two leftover planes run the scalar kernels, which measured
+// faster than a padded tile for them (EXPERIMENTS.md).
+const padFrom = 3
+
+// buffers returns two independent length-size work slices and the
+// padding buffer for stride-long planes, growing them when needed.
+func (s *BatchScratch) buffers(size, stride int) ([]float64, []float64, []float64) {
 	if cap(s.a) < size {
 		s.a = make([]float64, size)
 	}
 	if cap(s.b) < size {
 		s.b = make([]float64, size)
 	}
-	return s.a[:size], s.b[:size]
+	if len(s.pad) < 2*stride {
+		s.pad = make([]float64, 2*stride)
+	}
+	return s.a[:size], s.b[:size], s.pad
 }
 
 // checkBatch validates the shared batch-transform geometry: stripes of
@@ -65,7 +78,7 @@ func (w *Orthogonal) ForwardBatchInto(x []float64, stride, levels int, planes []
 	if err := checkBatch(len(x), len(out), stride, levels, planes); err != nil {
 		return err
 	}
-	cur, next := s.buffers(len(x))
+	cur, next, pad := s.buffers(len(x), stride)
 	for _, p := range planes {
 		copy(cur[p*stride:(p+1)*stride], x[p*stride:(p+1)*stride])
 	}
@@ -73,7 +86,7 @@ func (w *Orthogonal) ForwardBatchInto(x []float64, stride, levels int, planes []
 	curLen := stride
 	for lev := 0; lev < levels; lev++ {
 		half := curLen / 2
-		w.analyzeBatch(cur, next, out, stride, curLen, pos, planes)
+		w.analyzeBatch(cur, next, out, stride, curLen, pos, planes, pad)
 		pos -= half
 		curLen = half
 		cur, next = next, cur
@@ -86,89 +99,92 @@ func (w *Orthogonal) ForwardBatchInto(x []float64, stride, levels int, planes []
 
 // analyzeBatch performs one decimating analysis step on every listed
 // plane: approximation into next[base:base+curLen/2], detail into
-// out[base+pos-curLen/2 : base+pos] (base = plane*stride). Planes are
-// processed in tiles of four so the tap loop keeps eight independent
-// accumulators in registers; the per-plane accumulation order matches
-// analyzeOne exactly.
-func (w *Orthogonal) analyzeBatch(cur, next, out []float64, stride, curLen, pos int, planes []int) {
+// out[base+pos-curLen/2 : base+pos] (base = plane*stride), in tiles of
+// four planes. A short last tile of padFrom or more planes fills its
+// missing lanes from pad; a shorter tail runs analyzeOne per plane.
+func (w *Orthogonal) analyzeBatch(cur, next, out []float64, stride, curLen, pos int, planes []int, pad []float64) {
 	half := curLen / 2
-	h := w.h
-	g := w.gf
-	L := len(h)
+	zero, sink := pad[:len(pad)/2], pad[len(pad)/2:]
 	t := 0
-	for ; t+4 <= len(planes); t += 4 {
-		b0 := planes[t] * stride
-		b1 := planes[t+1] * stride
-		b2 := planes[t+2] * stride
-		b3 := planes[t+3] * stride
-		x0 := cur[b0 : b0+curLen]
-		x1 := cur[b1 : b1+curLen]
-		x2 := cur[b2 : b2+curLen]
-		x3 := cur[b3 : b3+curLen]
-		a0 := next[b0 : b0+half]
-		a1 := next[b1 : b1+half]
-		a2 := next[b2 : b2+half]
-		a3 := next[b3 : b3+half]
-		d0 := out[b0+pos-half : b0+pos]
-		d1 := out[b1+pos-half : b1+pos]
-		d2 := out[b2+pos-half : b2+pos]
-		d3 := out[b3+pos-half : b3+pos]
-		gb := g[:L]
-		for i := 0; i < half; i++ {
-			var sa0, sd0, sa1, sd1, sa2, sd2, sa3, sd3 float64
-			base := 2 * i
-			if base+L <= curLen {
-				// Interior: no periodic wrap, so the tap windows are plain
-				// subslices and the bounds checks vanish.
-				xs0 := x0[base : base+L]
-				xs1 := x1[base : base+L]
-				xs2 := x2[base : base+L]
-				xs3 := x3[base : base+L]
-				for k, hk := range h {
-					gk := gb[k]
-					v0 := xs0[k]
-					sa0 += hk * v0
-					sd0 += gk * v0
-					v1 := xs1[k]
-					sa1 += hk * v1
-					sd1 += gk * v1
-					v2 := xs2[k]
-					sa2 += hk * v2
-					sd2 += gk * v2
-					v3 := xs3[k]
-					sa3 += hk * v3
-					sd3 += gk * v3
-				}
+	for ; t+padFrom <= len(planes); t += 4 {
+		var x, a, d [4][]float64
+		for l := range x {
+			if t+l < len(planes) {
+				b := planes[t+l] * stride
+				x[l], a[l], d[l] = cur[b:b+curLen], next[b:b+half], out[b+pos-half:b+pos]
 			} else {
-				for k := 0; k < L; k++ {
-					j := base + k
-					if j >= curLen {
-						j -= curLen
-					}
-					hk, gk := h[k], g[k]
-					v0 := x0[j]
-					sa0 += hk * v0
-					sd0 += gk * v0
-					v1 := x1[j]
-					sa1 += hk * v1
-					sd1 += gk * v1
-					v2 := x2[j]
-					sa2 += hk * v2
-					sd2 += gk * v2
-					v3 := x3[j]
-					sa3 += hk * v3
-					sd3 += gk * v3
-				}
+				x[l], a[l], d[l] = zero[:curLen], sink[:half], sink[:half]
 			}
-			a0[i], d0[i] = sa0, sd0
-			a1[i], d1[i] = sa1, sd1
-			a2[i], d2[i] = sa2, sd2
-			a3[i], d3[i] = sa3, sd3
 		}
+		w.analyzeTile(x, a, d)
 	}
 	for ; t < len(planes); t++ {
 		b := planes[t] * stride
 		w.analyzeOne(cur[b:b+curLen], next[b:b+half], out[b+pos-half:b+pos])
+	}
+}
+
+// analyzeTile runs one analysis step on four lanes with eight register
+// accumulators; per lane the accumulation order matches analyzeOne.
+func (w *Orthogonal) analyzeTile(x, a, d [4][]float64) {
+	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+	d0, d1, d2, d3 := d[0], d[1], d[2], d[3]
+	curLen, half := len(x0), len(a0)
+	h := w.h
+	g := w.gf
+	L := len(h)
+	gb := g[:L]
+	for i := 0; i < half; i++ {
+		var sa0, sd0, sa1, sd1, sa2, sd2, sa3, sd3 float64
+		base := 2 * i
+		if base+L <= curLen {
+			// Interior: no periodic wrap, so the tap windows are plain
+			// subslices and the bounds checks vanish.
+			xs0 := x0[base : base+L]
+			xs1 := x1[base : base+L]
+			xs2 := x2[base : base+L]
+			xs3 := x3[base : base+L]
+			for k, hk := range h {
+				gk := gb[k]
+				v0 := xs0[k]
+				sa0 += hk * v0
+				sd0 += gk * v0
+				v1 := xs1[k]
+				sa1 += hk * v1
+				sd1 += gk * v1
+				v2 := xs2[k]
+				sa2 += hk * v2
+				sd2 += gk * v2
+				v3 := xs3[k]
+				sa3 += hk * v3
+				sd3 += gk * v3
+			}
+		} else {
+			for k := 0; k < L; k++ {
+				j := base + k
+				if j >= curLen {
+					j -= curLen
+				}
+				hk, gk := h[k], g[k]
+				v0 := x0[j]
+				sa0 += hk * v0
+				sd0 += gk * v0
+				v1 := x1[j]
+				sa1 += hk * v1
+				sd1 += gk * v1
+				v2 := x2[j]
+				sa2 += hk * v2
+				sd2 += gk * v2
+				v3 := x3[j]
+				sa3 += hk * v3
+				sd3 += gk * v3
+			}
+		}
+		a0[i], d0[i] = sa0, sd0
+		a1[i], d1[i] = sa1, sd1
+		a2[i], d2[i] = sa2, sd2
+		a3[i], d3[i] = sa3, sd3
 	}
 }
 
@@ -180,14 +196,14 @@ func (w *Orthogonal) InverseBatchInto(c []float64, stride, levels int, planes []
 		return err
 	}
 	alen := stride >> uint(levels)
-	cur, next := s.buffers(len(c))
+	cur, next, pad := s.buffers(len(c), stride)
 	for _, p := range planes {
 		copy(cur[p*stride:p*stride+alen], c[p*stride:p*stride+alen])
 	}
 	pos := alen
 	curLen := alen
 	for lev := levels; lev >= 1; lev-- {
-		w.synthesizeBatch(cur, c, next, out, stride, curLen, pos, lev == 1, planes)
+		w.synthesizeBatch(cur, c, next, out, stride, curLen, pos, lev == 1, planes, pad)
 		pos += curLen
 		curLen *= 2
 		cur, next = next, cur
@@ -198,78 +214,80 @@ func (w *Orthogonal) InverseBatchInto(c []float64, stride, levels int, planes []
 // synthesizeBatch inverts one analysis step on every listed plane:
 // approximation from cur[base:base+curLen], detail from
 // c[base+pos:base+pos+curLen], signal into next (or out when final is
-// set). The per-plane scatter order matches synthesizeOne exactly.
-func (w *Orthogonal) synthesizeBatch(cur, c, next, out []float64, stride, curLen, pos int, final bool, planes []int) {
+// set). Planes run in tiles of four as in analyzeBatch.
+func (w *Orthogonal) synthesizeBatch(cur, c, next, out []float64, stride, curLen, pos int, final bool, planes []int, pad []float64) {
 	n := 2 * curLen
-	h := w.h
-	g := w.gf
-	L := len(h)
+	zero, sink := pad[:len(pad)/2], pad[len(pad)/2:]
 	dstBuf := next
 	if final {
 		dstBuf = out
 	}
 	t := 0
-	for ; t+4 <= len(planes); t += 4 {
-		b0 := planes[t] * stride
-		b1 := planes[t+1] * stride
-		b2 := planes[t+2] * stride
-		b3 := planes[t+3] * stride
-		a0 := cur[b0 : b0+curLen]
-		a1 := cur[b1 : b1+curLen]
-		a2 := cur[b2 : b2+curLen]
-		a3 := cur[b3 : b3+curLen]
-		d0 := c[b0+pos : b0+pos+curLen]
-		d1 := c[b1+pos : b1+pos+curLen]
-		d2 := c[b2+pos : b2+pos+curLen]
-		d3 := c[b3+pos : b3+pos+curLen]
-		x0 := dstBuf[b0 : b0+n]
-		x1 := dstBuf[b1 : b1+n]
-		x2 := dstBuf[b2 : b2+n]
-		x3 := dstBuf[b3 : b3+n]
-		for i := range x0 {
-			x0[i] = 0
-			x1[i] = 0
-			x2[i] = 0
-			x3[i] = 0
-		}
-		gb := g[:L]
-		for i := 0; i < curLen; i++ {
-			base := 2 * i
-			av0, dv0 := a0[i], d0[i]
-			av1, dv1 := a1[i], d1[i]
-			av2, dv2 := a2[i], d2[i]
-			av3, dv3 := a3[i], d3[i]
-			if base+L <= n {
-				// Interior: no periodic wrap, so the scatter windows are
-				// plain subslices and the bounds checks vanish.
-				xw0 := x0[base : base+L]
-				xw1 := x1[base : base+L]
-				xw2 := x2[base : base+L]
-				xw3 := x3[base : base+L]
-				for k, hk := range h {
-					gk := gb[k]
-					xw0[k] += hk*av0 + gk*dv0
-					xw1[k] += hk*av1 + gk*dv1
-					xw2[k] += hk*av2 + gk*dv2
-					xw3[k] += hk*av3 + gk*dv3
-				}
+	for ; t+padFrom <= len(planes); t += 4 {
+		var a, d, x [4][]float64
+		for l := range x {
+			if t+l < len(planes) {
+				b := planes[t+l] * stride
+				a[l], d[l], x[l] = cur[b:b+curLen], c[b+pos:b+pos+curLen], dstBuf[b:b+n]
 			} else {
-				for k := 0; k < L; k++ {
-					j := base + k
-					if j >= n {
-						j -= n
-					}
-					hk, gk := h[k], g[k]
-					x0[j] += hk*av0 + gk*dv0
-					x1[j] += hk*av1 + gk*dv1
-					x2[j] += hk*av2 + gk*dv2
-					x3[j] += hk*av3 + gk*dv3
-				}
+				a[l], d[l], x[l] = zero[:curLen], zero[:curLen], sink[:n]
 			}
 		}
+		w.synthesizeTile(a, d, x)
 	}
 	for ; t < len(planes); t++ {
 		b := planes[t] * stride
 		w.synthesizeOne(cur[b:b+curLen], c[b+pos:b+pos+curLen], dstBuf[b:b+n])
+	}
+}
+
+// synthesizeTile inverts one analysis step on four lanes; per lane the
+// scatter order matches synthesizeOne.
+func (w *Orthogonal) synthesizeTile(a, d, x [4][]float64) {
+	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+	d0, d1, d2, d3 := d[0], d[1], d[2], d[3]
+	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+	curLen, n := len(a0), len(x0)
+	h := w.h
+	g := w.gf
+	L := len(h)
+	clear(x0)
+	clear(x1)
+	clear(x2)
+	clear(x3)
+	gb := g[:L]
+	for i := 0; i < curLen; i++ {
+		base := 2 * i
+		av0, dv0 := a0[i], d0[i]
+		av1, dv1 := a1[i], d1[i]
+		av2, dv2 := a2[i], d2[i]
+		av3, dv3 := a3[i], d3[i]
+		if base+L <= n {
+			// Interior: no periodic wrap, so the scatter windows are
+			// plain subslices and the bounds checks vanish.
+			xw0 := x0[base : base+L]
+			xw1 := x1[base : base+L]
+			xw2 := x2[base : base+L]
+			xw3 := x3[base : base+L]
+			for k, hk := range h {
+				gk := gb[k]
+				xw0[k] += hk*av0 + gk*dv0
+				xw1[k] += hk*av1 + gk*dv1
+				xw2[k] += hk*av2 + gk*dv2
+				xw3[k] += hk*av3 + gk*dv3
+			}
+		} else {
+			for k := 0; k < L; k++ {
+				j := base + k
+				if j >= n {
+					j -= n
+				}
+				hk, gk := h[k], g[k]
+				x0[j] += hk*av0 + gk*dv0
+				x1[j] += hk*av1 + gk*dv1
+				x2[j] += hk*av2 + gk*dv2
+				x3[j] += hk*av3 + gk*dv3
+			}
+		}
 	}
 }
