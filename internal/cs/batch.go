@@ -15,11 +15,12 @@ package cs
 //
 // Contract: K-invariance. Per window the floating-point operation
 // sequence does not depend on the batch it rides in, so K windows
-// batched return bit-identical signals and identical SolveStats to K
-// single-window Reconstruct*Warm calls, at every K (batch_test.go), and
-// those outputs equal the digests recorded in golden_test.go. That is
-// what lets gateway.Engine form batches opportunistically without
-// changing any output.
+// batched return signals bit-identical for every non-NaN value, and
+// identical SolveStats, to K single-window Reconstruct*Warm calls, at
+// every K (batch_test.go), and those outputs equal the digests recorded
+// in golden_test.go. A NaN stays NaN with a possibly different payload
+// (internal/wavelet/batch.go). That is what lets gateway.Engine form
+// batches opportunistically without changing any output.
 
 import (
 	"math"

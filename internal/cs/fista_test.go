@@ -119,6 +119,44 @@ func TestReconstructLowCR(t *testing.T) {
 	}
 }
 
+// TestReconstructDeepLevels decodes with DWT depths whose coarse levels
+// are shorter than the db8 filter, down to a one-coefficient
+// approximation band at n=512: single-lead and three-lead joint solves
+// must return finite signals that track the input, not panic.
+func TestReconstructDeepLevels(t *testing.T) {
+	const n = 512
+	rng := rand.New(rand.NewSource(8))
+	phi, _ := NewSparseBinary(MeasurementsForCR(n, 25), n, 4, rng)
+	enc := NewEncoder(phi)
+	leads := testWindow(n, 78)
+	ys := make([][]float64, len(leads))
+	for l, x := range leads {
+		ys[l] = enc.Encode(x)
+	}
+	for _, levels := range []int{8, 9} {
+		dec, err := NewDecoder(phi, SolverConfig{Levels: levels, Iters: 150})
+		if err != nil {
+			t.Fatalf("levels=%d: NewDecoder: %v", levels, err)
+		}
+		xhat, err := dec.Reconstruct(ys[0])
+		if err != nil {
+			t.Fatalf("levels=%d: Reconstruct: %v", levels, err)
+		}
+		if snr := dsp.SNRdB(leads[0], xhat); !(snr >= 15) {
+			t.Errorf("levels=%d: single-lead SNR %.1f dB, want >= 15", levels, snr)
+		}
+		joint, err := dec.ReconstructJoint(ys)
+		if err != nil {
+			t.Fatalf("levels=%d: ReconstructJoint: %v", levels, err)
+		}
+		for l, x := range joint {
+			if snr := dsp.SNRdB(leads[l], x); !(snr >= 15) {
+				t.Errorf("levels=%d: joint lead %d SNR %.1f dB, want >= 15", levels, l, snr)
+			}
+		}
+	}
+}
+
 func TestReconstructRejectsBadLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	phi, _ := NewSparseBinary(64, 256, 4, rng)

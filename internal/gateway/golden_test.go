@@ -1,8 +1,11 @@
-//go:build amd64 && !amd64.v3
+//go:build amd64
 
-// The recorded digest holds for baseline amd64 only: where the compiler
-// contracts x*y+z into a fused multiply-add (arm64, ppc64, s390x,
-// GOAMD64=v3) the solver's bits legitimately differ.
+// The recorded digest holds on amd64 at every GOAMD64 level. There
+// the Go 1.24 compiler fuses only an explicit math.FMA, which the
+// decode path never calls, so even a GOAMD64=v3 build of cs, fleet,
+// gateway and wavelet has no VFMADD; the assembly DWT tile interiors
+// use none either. Where the compiler contracts x*y+z into one (arm64,
+// ppc64, s390x) the solver's bits legitimately differ.
 
 package gateway
 

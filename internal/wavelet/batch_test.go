@@ -10,7 +10,9 @@ import (
 // a batched forward/inverse transform must equal the scalar transform
 // of that stripe alone, for plane counts covering the 4-wide tile and
 // every padded short-tile width, alone (P=1..3) and after full tiles,
-// at a generic geometry and at the CS solver's (n=512, 5 levels, db8).
+// at a generic geometry, at the CS solver's (n=512, 5 levels, db8) and
+// at depths whose levels reach 2 samples, shorter than the filter and
+// with no tile interior (Haar excepted).
 func TestBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, geo := range []struct {
@@ -19,6 +21,8 @@ func TestBatchMatchesScalar(t *testing.T) {
 	}{
 		{256, 4, []*Orthogonal{Haar(), Daubechies4(), Daubechies8(), Symlet8()}},
 		{512, 5, []*Orthogonal{Daubechies8()}},
+		{16, 3, []*Orthogonal{Haar(), Daubechies4(), Daubechies8(), Symlet8()}},
+		{512, 8, []*Orthogonal{Haar(), Daubechies8()}},
 	} {
 		n, levels := geo.n, geo.levels
 		for _, w := range geo.ws {

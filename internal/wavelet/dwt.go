@@ -31,21 +31,27 @@ type Orthogonal struct {
 	name string
 	h    []float64 // analysis low-pass
 	gf   []float64 // analysis high-pass (alternating-flip of h)
+	// tab holds each tap duplicated for two packed lanes,
+	// h[k],h[k],g[k],g[k] at 4k, for the assembly tile interiors.
+	tab []float64
 }
 
-// newOrthogonal derives the quadrature-mirror high-pass at construction:
-// g[k] = (-1)^k h[L-1-k].
+// newOrthogonal derives the quadrature-mirror high-pass at construction,
+// g[k] = (-1)^k h[L-1-k], and the duplicated tap table. All three are
+// immutable afterwards.
 func newOrthogonal(name string, h []float64) *Orthogonal {
 	L := len(h)
 	g := make([]float64, L)
+	tab := make([]float64, 0, 4*L)
 	for k := 0; k < L; k++ {
 		if k%2 == 0 {
 			g[k] = h[L-1-k]
 		} else {
 			g[k] = -h[L-1-k]
 		}
+		tab = append(tab, h[k], h[k], g[k], g[k])
 	}
-	return &Orthogonal{name: name, h: h, gf: g}
+	return &Orthogonal{name: name, h: h, gf: g, tab: tab}
 }
 
 // Name returns the wavelet's conventional name.
@@ -107,7 +113,7 @@ func (w *Orthogonal) analyzeOne(x, a, d []float64) {
 		base := 2 * i
 		for k := 0; k < L; k++ {
 			j := base + k
-			if j >= n {
+			for j >= n {
 				j -= n
 			}
 			sa += h[k] * x[j]
@@ -131,7 +137,7 @@ func (w *Orthogonal) synthesizeOne(a, d, x []float64) {
 		base := 2 * i
 		for k := 0; k < L; k++ {
 			j := base + k
-			if j >= n {
+			for j >= n {
 				j -= n
 			}
 			x[j] += h[k]*a[i] + g[k]*d[i]
@@ -161,8 +167,9 @@ func (s *Scratch) buffers(n int) ([]float64, []float64) {
 
 // Forward computes a 'levels'-deep periodic DWT of x and returns the
 // coefficient vector laid out as [a_L | d_L | d_{L-1} | ... | d_1], the
-// standard pyramid order. len(x) must be divisible by 2^levels and the
-// per-level length must stay >= filter length for a meaningful transform.
+// standard pyramid order. len(x) must be divisible by 2^levels. A level
+// shorter than the filter wraps the taps around it more than once (a
+// true periodic wrap), so every such depth stays orthonormal.
 func (w *Orthogonal) Forward(x []float64, levels int) ([]float64, error) {
 	out := make([]float64, len(x))
 	var s Scratch
