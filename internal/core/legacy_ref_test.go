@@ -7,6 +7,7 @@ import (
 	"wbsn/internal/cs"
 	"wbsn/internal/delineation"
 	"wbsn/internal/dsp"
+	"wbsn/internal/link"
 	"wbsn/internal/morpho"
 	"wbsn/internal/telemetry"
 )
@@ -185,7 +186,7 @@ func (s *legacyStream) processChunk(chunk [][]float64, base int) ([]Event, error
 			}
 		}
 	default:
-		leads, _, _ := n.gateLeads(chunk)
+		leads, _, _ := legacyGateLeads(n, chunk)
 		if !n.cfg.DisableFilter {
 			filtered, err := morpho.FilterLeadsInto(leads, morpho.FilterConfig{Fs: n.cfg.Fs}, s.filtered, &s.morph)
 			if err != nil {
@@ -259,4 +260,33 @@ func (s *legacyStream) processChunk(chunk [][]float64, base int) ([]Event, error
 		}
 	}
 	return events, nil
+}
+
+// legacyGateLeads is the node's pre-graph signal-quality gating, kept
+// verbatim with the chain above: it returns the leads to analyse, the
+// per-lead usage mask, and the abstract operation count of the quality
+// checks. With gating disabled every lead passes through.
+func legacyGateLeads(n *Node, leads [][]float64) ([][]float64, []bool, int) {
+	used := make([]bool, len(leads))
+	for i := range used {
+		used[i] = true
+	}
+	if !n.cfg.GateLeads || len(leads) < 2 {
+		return leads, used, 0
+	}
+	mask := link.GoodLeads(leads, n.cfg.Fs, link.SQIConfig{}, n.cfg.LeadGateMin)
+	ops := 0
+	if len(leads) > 0 {
+		ops = len(leads) * len(leads[0]) * 3 // mean/RMS/peak passes
+	}
+	kept := make([][]float64, 0, len(leads))
+	for li, ok := range mask {
+		if ok {
+			kept = append(kept, leads[li])
+		}
+	}
+	if len(kept) == 0 { // GoodLeads guarantees one lead, but be safe
+		return leads, used, ops
+	}
+	return kept, mask, ops
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"wbsn/internal/af"
 	"wbsn/internal/classify"
@@ -24,7 +25,6 @@ import (
 	"wbsn/internal/ecg"
 	"wbsn/internal/energy"
 	"wbsn/internal/graph"
-	"wbsn/internal/link"
 	"wbsn/internal/morpho"
 	"wbsn/internal/telemetry"
 	"wbsn/internal/wavelet"
@@ -330,8 +330,8 @@ type Result struct {
 	AFDecisions []af.Decision
 	// AFAlarm reports whether the record triggered an AF alarm.
 	AFAlarm bool
-	// LeadsUsed marks which leads survived signal-quality gating (all
-	// true when gating is disabled or in the raw/CS modes).
+	// LeadsUsed marks which leads survived signal-quality gating in some
+	// chunk (all true when gating is disabled or in the raw/CS modes).
 	LeadsUsed []bool
 	// Energy is the per-record node energy estimate.
 	Energy energy.Breakdown
@@ -341,47 +341,102 @@ type Result struct {
 	BatteryLifetimeH float64
 }
 
-// Process runs the node's pipeline over a full record.
+// Process runs a full record through a fresh Stream of the node — the
+// same compiled pipeline the firmware, fleet and gateway paths run —
+// and aggregates the emitted events. The record must carry exactly
+// Config.Leads leads (ErrStream otherwise). A record with fewer beats
+// than one AF detector window (24) yields no AF decision.
 func (n *Node) Process(rec *ecg.Record) (*Result, error) {
 	if err := rec.Validate(); err != nil {
 		return nil, err
 	}
+	if len(rec.Leads) != n.cfg.Leads {
+		return nil, fmt.Errorf("%w: record has %d leads, node has %d", ErrStream, len(rec.Leads), n.cfg.Leads)
+	}
+	s, err := n.NewStream()
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{Mode: n.cfg.Mode, DurationS: rec.Duration()}
-	samples := rec.Len() * len(rec.Leads)
-	compOps := 0
-	switch n.cfg.Mode {
-	case ModeRawStreaming:
-		res.TxBytes = (samples*n.cfg.BitsPerSample + 7) / 8
-	case ModeCS:
-		windows := rec.Len() / n.cfg.CSWindow
-		mPerWin := n.enc.MeasurementLen() * len(rec.Leads)
-		res.TxBytes = windows * ((mPerWin*n.cfg.BitsPerSample + 7) / 8)
-		compOps = windows * n.enc.Matrix().(*cs.SparseBinary).AddsPerWindow() * len(rec.Leads)
-	default:
-		beats, used, ops, err := n.analyze(rec)
+	compOps, labelled := 0, 0
+	collect := func(evs []Event) {
+		for _, ev := range evs {
+			switch ev.Kind {
+			case EventPacket:
+				res.TxBytes += ev.Bytes
+				if ev.Measurements != nil { // one CS projection per lead
+					compOps += len(ev.Measurements) * n.enc.Matrix().(*cs.SparseBinary).AddsPerWindow()
+				}
+			case EventBeat:
+				res.Beats = append(res.Beats, ev.Beat)
+				if ev.Beat.Label >= 0 {
+					labelled++
+				}
+			case EventAF:
+				res.AFDecisions = append(res.AFDecisions, ev.AF)
+			}
+		}
+	}
+	// Hop-sized blocks: one whole-record PushBlock would make the
+	// stream's per-chunk buffer compaction quadratic.
+	block := make([][]float64, len(rec.Leads))
+	for at := 0; at < rec.Len(); at += s.hop {
+		end := min(at+s.hop, rec.Len())
+		for li := range block {
+			block[li] = rec.Leads[li][at:end]
+		}
+		evs, err := s.PushBlock(block)
 		if err != nil {
 			return nil, err
 		}
-		compOps = ops
-		res.Beats = beats
-		res.LeadsUsed = used
-		switch n.cfg.Mode {
-		case ModeDelineation:
-			// 9 fiducials at 2 bytes each, plus a 2-byte beat header.
-			res.TxBytes = len(beats) * (9*2 + 2)
-		case ModeClassification:
-			// Label byte + 3-byte R-peak offset per beat.
-			res.TxBytes = len(beats) * 4
-		case ModeAFAlarm:
-			dels := make([]delineation.BeatFiducials, len(beats))
-			for i, b := range beats {
-				dels[i] = b.Fiducials
-			}
-			res.AFDecisions = n.afd.Detect(dels)
-			res.AFAlarm = af.RecordVerdict(res.AFDecisions, 0.5)
-			// One status byte per decision window; alarms piggy-back.
-			res.TxBytes = len(res.AFDecisions)
+		collect(evs)
+	}
+	evs, err := s.Flush()
+	if err != nil {
+		return nil, err
+	}
+	collect(evs)
+	// A plan without a gate stage reports no masks: every lead is used.
+	res.LeadsUsed = s.used
+	if !slices.Contains(s.used, true) {
+		for i := range res.LeadsUsed {
+			res.LeadsUsed[i] = true
 		}
+	}
+
+	samples := rec.Len() * len(rec.Leads)
+	switch n.cfg.Mode {
+	case ModeDelineation:
+		// 9 fiducials at 2 bytes each, plus a 2-byte beat header.
+		res.TxBytes = len(res.Beats) * (9*2 + 2)
+	case ModeClassification:
+		// Label byte + 3-byte R-peak offset per beat.
+		res.TxBytes = len(res.Beats) * 4
+		// One projection and prototype scan per labelled beat.
+		compOps = labelled * (n.cfg.Classifier.RP().AddsPerProjection() + 400)
+	case ModeAFAlarm:
+		res.AFAlarm = af.RecordVerdict(res.AFDecisions, 0.5)
+		// One status byte per decision window; alarms piggy-back.
+		res.TxBytes = len(res.AFDecisions)
+	}
+	if n.cfg.Mode >= ModeDelineation {
+		// Per-sample op counts of the analysis chain: the quality checks
+		// (mean/RMS/peak passes) on every lead when gating, then over the
+		// used leads the van Herk filter stages and the combiner, and the
+		// à-trous bank with its threshold logic.
+		leads := 0
+		for _, u := range res.LeadsUsed {
+			if u {
+				leads++
+			}
+		}
+		if n.cfg.GateLeads && len(rec.Leads) >= 2 {
+			compOps += samples * 3
+		}
+		if !n.cfg.DisableFilter {
+			compOps += rec.Len() * leads * 24
+		}
+		compOps += rec.Len() * (leads + 2 + 30)
 	}
 	if res.DurationS > 0 {
 		res.TxBytesPerSecond = float64(res.TxBytes) / res.DurationS
@@ -398,75 +453,6 @@ func (n *Node) Process(rec *ecg.Record) (*Result, error) {
 		res.BatteryLifetimeH = energy.DefaultBattery().LifetimeHours(res.EnergyAvgPowerW)
 	}
 	return res, nil
-}
-
-// gateLeads applies signal-quality gating: it returns the leads to
-// analyse, the per-lead usage mask, and the abstract operation count of
-// the quality checks. With gating disabled every lead passes through.
-func (n *Node) gateLeads(leads [][]float64) ([][]float64, []bool, int) {
-	used := make([]bool, len(leads))
-	for i := range used {
-		used[i] = true
-	}
-	if !n.cfg.GateLeads || len(leads) < 2 {
-		return leads, used, 0
-	}
-	mask := link.GoodLeads(leads, n.cfg.Fs, link.SQIConfig{}, n.cfg.LeadGateMin)
-	ops := 0
-	if len(leads) > 0 {
-		ops = len(leads) * len(leads[0]) * 3 // mean/RMS/peak passes
-	}
-	kept := make([][]float64, 0, len(leads))
-	for li, ok := range mask {
-		if ok {
-			kept = append(kept, leads[li])
-		}
-	}
-	if len(kept) == 0 { // GoodLeads guarantees one lead, but be safe
-		return leads, used, ops
-	}
-	return kept, mask, ops
-}
-
-// analyze runs signal-quality gating, conditioning, lead combination,
-// delineation and (in classification mode) per-beat labelling, and
-// returns the beats, the per-lead usage mask, plus an abstract
-// operation count for the energy model.
-func (n *Node) analyze(rec *ecg.Record) ([]BeatOutput, []bool, int, error) {
-	leads, used, ops := n.gateLeads(rec.Leads)
-	if !n.cfg.DisableFilter {
-		filtered, err := morpho.FilterLeads(leads, morpho.FilterConfig{Fs: n.cfg.Fs})
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		leads = filtered
-		ops += rec.Len() * len(leads) * 24 // van Herk stages per sample
-	}
-	combined := dsp.CombineRMS(leads)
-	ops += rec.Len() * (len(leads) + 2)
-	beats, err := n.del.Delineate(combined)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	ops += rec.Len() * 30 // à-trous bank + threshold logic
-	out := make([]BeatOutput, 0, len(beats))
-	for _, b := range beats {
-		bo := BeatOutput{Fiducials: b, Label: -1}
-		if n.cfg.Mode == ModeClassification {
-			beat := n.beatWin.Extract(combined, b.R)
-			if beat != nil {
-				label, mem, err := n.cfg.Classifier.Predict(beat)
-				if err != nil {
-					return nil, nil, 0, err
-				}
-				bo.Label = label
-				bo.Membership = mem
-				ops += n.cfg.Classifier.RP().AddsPerProjection() + 400
-			}
-		}
-		out = append(out, bo)
-	}
-	return out, used, ops, nil
 }
 
 // TrainClassifier builds a heartbeat classifier from labelled records —

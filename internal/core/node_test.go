@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"wbsn/internal/ecg"
@@ -194,6 +196,60 @@ func TestProcessRejectsCorruptRecord(t *testing.T) {
 	bad := &ecg.Record{}
 	if _, err := n.Process(bad); err == nil {
 		t.Error("empty record should fail validation")
+	}
+	twoLeads := testRecord(1, 4)
+	twoLeads.Leads = twoLeads.Leads[:2]
+	twoLeads.Clean = nil
+	if _, err := n.Process(twoLeads); !errors.Is(err, ErrStream) {
+		t.Errorf("record with 2 leads on a 3-lead node: err %v, want ErrStream", err)
+	}
+}
+
+// TestProcessHonoursQuantBits pins the CS payload Process prices to the
+// quantised packets the stream emits.
+func TestProcessHonoursQuantBits(t *testing.T) {
+	rec := testRecord(6, 8)
+	n, err := NewNode(Config{Mode: ModeCS, QuantBits: 8, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := n.NewStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed := 0
+	for _, ev := range feed(t, s, rec.Leads, 256) {
+		streamed += ev.Bytes
+	}
+	res, err := n.Process(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TxBytes != streamed {
+		t.Errorf("Process TxBytes %d, streamed 8-bit packets %d", res.TxBytes, streamed)
+	}
+}
+
+// TestProcessLeadsUsedWithoutGating: with gating off every lead is used,
+// in every mode.
+func TestProcessLeadsUsedWithoutGating(t *testing.T) {
+	rec := testRecord(8, 10)
+	cls, err := TrainClassifier([]*ecg.Record{rec}, 256, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []Mode{ModeRawStreaming, ModeCS, ModeDelineation, ModeClassification, ModeAFAlarm} {
+		n, err := NewNode(Config{Mode: m, Classifier: cls})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := n.Process(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []bool{true, true, true}; !reflect.DeepEqual(res.LeadsUsed, want) {
+			t.Errorf("%s: LeadsUsed %v, want %v", m, res.LeadsUsed, want)
+		}
 	}
 }
 

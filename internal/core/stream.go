@@ -79,6 +79,8 @@ type Stream struct {
 	// beats accumulated for AF windowing (absolute Rs).
 	afBeats []delineation.BeatFiducials
 	afEmit  int // beats already covered by emitted AF windows
+	// used ORs the plan's per-chunk gate masks since the last Reset.
+	used []bool
 	// chunk is the reusable per-drain view of the buffered leads.
 	chunk [][]float64
 	// tel, when set, receives per-chunk counters and per-stage timings.
@@ -136,6 +138,7 @@ func (s *Stream) SetTrace(r *trace.Ring, hi uint32) {
 func (n *Node) NewStream() (*Stream, error) {
 	s := &Stream{node: n, exec: n.plan.NewExec(), lastBeatR: -1}
 	s.buf = make([][]float64, n.cfg.Leads)
+	s.used = make([]bool, n.cfg.Leads)
 	s.chunkLen = n.plan.ChunkLen()
 	switch n.cfg.Mode {
 	case ModeRawStreaming, ModeCS:
@@ -157,6 +160,7 @@ func (s *Stream) Reset() {
 	s.afBeats = s.afBeats[:0]
 	s.afEmit = 0
 	s.trSeq = 0
+	clear(s.used)
 	for i := range s.buf {
 		s.buf[i] = s.buf[i][:0]
 	}
@@ -268,6 +272,9 @@ func (s *Stream) processChunk(chunk [][]float64, base int) ([]Event, error) {
 	res, err := s.exec.Run(chunk, base, lp)
 	if err != nil {
 		return nil, err
+	}
+	for i, kept := range res.LeadsKept {
+		s.used[i] = s.used[i] || kept
 	}
 	var events []Event
 	switch n.cfg.Mode {

@@ -133,9 +133,8 @@ func (e *Exec) Run(chunk [][]float64, base int, lp Lapper) (Result, error) {
 		sg := &p.stages[si]
 		switch sg.kind {
 		case stageGate:
-			// Mirrors the node's per-chunk gating: fewer than two leads
-			// pass through, and an (impossible) empty keep set falls back
-			// to every lead.
+			// Fewer than two leads pass through, and an (impossible) empty
+			// keep set falls back to every lead; neither reports a mask.
 			if len(leads) >= 2 {
 				mask := link.GoodLeads(leads, sg.fs, link.SQIConfig{}, sg.gateMin)
 				kept := e.kept[:0]
@@ -147,6 +146,7 @@ func (e *Exec) Run(chunk [][]float64, base int, lp Lapper) (Result, error) {
 				if len(kept) > 0 {
 					e.kept = kept
 					leads = kept
+					res.LeadsKept = mask
 				}
 			}
 

@@ -114,6 +114,10 @@ type Result struct {
 	// packet (nil for raw packets). Freshly allocated per Run; safe to
 	// retain (they travel inside emitted events).
 	Measurements [][]float64
+	// LeadsKept is the per-input-lead mask the gate stage kept this
+	// chunk; nil when the plan does not gate or has fewer than two leads
+	// to gate. Freshly allocated per Run; safe to retain.
+	LeadsKept []bool
 }
 
 func buildErr(format string, args ...any) error {

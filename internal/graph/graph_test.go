@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"errors"
@@ -386,6 +387,9 @@ func TestGateBitIdentity(t *testing.T) {
 	}
 
 	mask := link.GoodLeads(chunk, 256, link.SQIConfig{}, 0.7)
+	if !reflect.DeepEqual(res.LeadsKept, mask) {
+		t.Errorf("LeadsKept %v, want the gate mask %v", res.LeadsKept, mask)
+	}
 	var kept [][]float64
 	for li, ok := range mask {
 		if ok {
