@@ -25,6 +25,31 @@ func TestStreamValidation(t *testing.T) {
 	}
 }
 
+func TestStreamRawPacketisation(t *testing.T) {
+	node, _ := NewNode(Config{Mode: ModeRawStreaming})
+	s, _ := node.NewStream()
+	rec := ecg.Generate(ecg.Config{Seed: 1, Duration: 10})
+	events := feed(t, s, rec.Leads, 100)
+	if len(events) == 0 {
+		t.Fatal("no packets emitted")
+	}
+	total := 0
+	for _, e := range events {
+		if e.Kind != EventPacket {
+			t.Fatal("raw stream should only emit packets")
+		}
+		total += e.Bytes
+	}
+	// Whole-record processing gives the same byte count.
+	res, err := node.Process(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := total - res.TxBytes; diff < -100 || diff > 100 {
+		t.Errorf("streamed bytes %d vs batch %d", total, res.TxBytes)
+	}
+}
+
 func TestStreamCSPacketisation(t *testing.T) {
 	node, _ := NewNode(Config{Mode: ModeCS})
 	s, _ := node.NewStream()
@@ -37,6 +62,51 @@ func TestStreamCSPacketisation(t *testing.T) {
 	for _, e := range events {
 		if e.Bytes <= 0 {
 			t.Error("empty CS packet")
+		}
+	}
+}
+
+func TestStreamBeatsMatchBatch(t *testing.T) {
+	node, _ := NewNode(Config{Mode: ModeDelineation})
+	s, _ := node.NewStream()
+	rec := ecg.Generate(ecg.Config{Seed: 3, Duration: 30})
+	events := feed(t, s, rec.Leads, 64)
+	var streamed []int
+	for _, e := range events {
+		if e.Kind != EventBeat {
+			continue
+		}
+		streamed = append(streamed, e.At)
+	}
+	res, err := node.Process(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every batch beat must be matched by a streamed beat within 3
+	// samples; no large surplus.
+	matched := 0
+	for _, b := range res.Beats {
+		for _, r := range streamed {
+			d := r - b.Fiducials.R
+			if d < 0 {
+				d = -d
+			}
+			if d <= 3 {
+				matched++
+				break
+			}
+		}
+	}
+	if matched < len(res.Beats)-1 {
+		t.Errorf("streamed beats matched %d/%d batch beats", matched, len(res.Beats))
+	}
+	if len(streamed) > len(res.Beats)+2 {
+		t.Errorf("streamed %d beats vs batch %d (duplicates?)", len(streamed), len(res.Beats))
+	}
+	// Events are time-ordered and strictly increasing.
+	for i := 1; i < len(streamed); i++ {
+		if streamed[i] <= streamed[i-1] {
+			t.Error("streamed beats out of order")
 		}
 	}
 }
