@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"wbsn/internal/ecg"
@@ -121,7 +122,20 @@ func corruptLeads(leads [][]float64) [][]float64 {
 	return out
 }
 
-func TestGoldenBitIdentity(t *testing.T) {
+// goldenCase is one ladder mode / config permutation of the golden
+// suite, fed in blocks of the given size.
+type goldenCase struct {
+	name  string
+	cfg   Config
+	leads [][]float64
+	block int
+}
+
+// goldenCases returns the golden permutations: every ladder mode plus
+// gating (clean and corrupted), the unfiltered analysis chain and CS
+// with explicit quantisation.
+func goldenCases(t *testing.T) []goldenCase {
+	t.Helper()
 	// 21.3 s at 256 Hz: not a multiple of the CS window or the analysis
 	// hop, so every mode exercises a partial trailing flush chunk.
 	rec := ecg.Generate(ecg.Config{Seed: 42, Duration: 21.3, Noise: ecg.NoiseConfig{EMG: 0.01}})
@@ -134,12 +148,7 @@ func TestGoldenBitIdentity(t *testing.T) {
 	}
 	afRec := ecg.Generate(ecg.Config{Seed: 44, Duration: 60, Rhythm: ecg.RhythmConfig{Kind: ecg.RhythmAF}})
 
-	cases := []struct {
-		name  string
-		cfg   Config
-		leads [][]float64
-		block int
-	}{
+	return []goldenCase{
 		{"raw", Config{Mode: ModeRawStreaming}, clean, 257},
 		{"cs", Config{Mode: ModeCS, CSRatio: 60, Seed: 7}, clean, 511},
 		{"cs-quant8", Config{Mode: ModeCS, CSRatio: 60, QuantBits: 8, Seed: 7}, clean, 512},
@@ -151,10 +160,68 @@ func TestGoldenBitIdentity(t *testing.T) {
 		{"classification-gated", Config{Mode: ModeClassification, Classifier: cls, GateLeads: true}, corrupted, 300},
 		{"af-alarm", Config{Mode: ModeAFAlarm}, afRec.Leads, 128},
 	}
-	for _, c := range cases {
+}
+
+func TestGoldenBitIdentity(t *testing.T) {
+	for _, c := range goldenCases(t) {
 		t.Run(c.name, func(t *testing.T) {
 			runGolden(t, c.cfg, c.leads, c.block)
 		})
+	}
+}
+
+// TestStreamGoldenDigests pins the compiled stream's absolute output.
+// TestGoldenBitIdentity is relative (compiled vs the legacy chain), so
+// a drift that moved both sides at once would pass it; these recorded
+// FNV-1a digests of the %#v-rendered events, and the compiled plan
+// summaries, do not. A deliberate behaviour change re-pins them with
+// its reason recorded.
+func TestStreamGoldenDigests(t *testing.T) {
+	want := map[string]struct {
+		digest   uint64
+		describe string
+	}{
+		"raw":                     {0x100dd2f8ea50bd47, "1 ops -> 1 stages (0 fused away), arena 0.0 KiB"},
+		"cs":                      {0x8ad61c905ea28dca, "2 ops -> 2 stages (0 fused away), arena 0.0 KiB"},
+		"cs-quant8":               {0x96c3eb0705560de8, "3 ops -> 3 stages (0 fused away), arena 0.0 KiB"},
+		"delineation":             {0x8df2d919714c5137, "4 ops -> 3 stages (1 fused away), arena 56.0 KiB"},
+		"delineation-gated":       {0x533c50780d5e0841, "5 ops -> 4 stages (1 fused away), arena 56.0 KiB"},
+		"delineation-gated-clean": {0x8df2d919714c5137, "5 ops -> 4 stages (1 fused away), arena 56.0 KiB"},
+		"delineation-nofilter":    {0xa9e74dd6ba90fefb, "3 ops -> 3 stages (0 fused away), arena 48.0 KiB"},
+		"classification":          {0x48d8cd0a62ecb374, "5 ops -> 3 stages (1 fused away), arena 56.0 KiB"},
+		"classification-gated":    {0xf408847b92d53393, "6 ops -> 4 stages (1 fused away), arena 56.0 KiB"},
+		"af-alarm":                {0xf163874335f2d4d0, "4 ops -> 3 stages (1 fused away), arena 56.0 KiB"},
+	}
+	got := map[string]bool{}
+	for _, c := range goldenCases(t) {
+		node, err := NewNode(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := node.NewStream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for _, ev := range feed(t, s, c.leads, c.block) {
+			fmt.Fprintf(h, "%#v\n", ev)
+		}
+		d, desc := h.Sum64(), node.Plan().Describe()
+		got[c.name] = true
+		w, ok := want[c.name]
+		if !ok {
+			t.Errorf("%s: no recorded digest (got %#016x, %q)", c.name, d, desc)
+			continue
+		}
+		if d != w.digest {
+			t.Errorf("%s: digest %#016x, recorded %#016x", c.name, d, w.digest)
+		}
+		if desc != w.describe {
+			t.Errorf("%s: plan %q, recorded %q", c.name, desc, w.describe)
+		}
+	}
+	if len(want) != len(got) {
+		t.Errorf("recorded %d digests, computed %d", len(want), len(got))
 	}
 }
 
