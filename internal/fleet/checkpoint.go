@@ -21,7 +21,8 @@ import (
 //	_       u32      reserved (zero)
 //	sessionS f64     seconds per round (IEEE-754 bits)
 //	states  patients × 64 B   PatientState, field order below
-//	warm    patients × (1 + 4·leads·n) B   valid byte then float32 bits
+//	warm    patients × (1 + 4·leads·n) B   valid byte (0 or 1) then
+//	                                         float32 bits (finite when valid)
 //	footer  u64      FNV-1a of every preceding byte
 //
 // The footer reuses the fleet's own resumable FNV-1a, so a corrupted or
@@ -136,6 +137,10 @@ func (cl *Cluster) WriteCheckpoint(w io.Writer) error {
 // writer — any mismatch (or a corrupted stream, caught by the FNV
 // footer) returns ErrCheckpoint and leaves no partial state applied:
 // the population arrays are only swapped in after full validation.
+// The footer only proves the bytes are the ones hashed, so the warm
+// tier is also checked on its own terms: a valid byte other than 0 or
+// 1, or a NaN or ±Inf coefficient in a valid slot, is refused rather
+// than seeded into the solver.
 func (cl *Cluster) ReadCheckpoint(r io.Reader) error {
 	h := newFNV64a(fnvOffset64)
 	hr := io.TeeReader(r, h)
@@ -191,10 +196,18 @@ func (cl *Cluster) ReadCheckpoint(r io.Reader) error {
 			if _, err := io.ReadFull(hr, wbuf); err != nil {
 				return fmt.Errorf("%w: warm %d: %v", ErrCheckpoint, p, err)
 			}
-			warm.valid[p] = wbuf[0]
+			valid := wbuf[0]
+			if valid > 1 {
+				return fmt.Errorf("%w: warm %d: valid byte %d", ErrCheckpoint, p, valid)
+			}
+			warm.valid[p] = valid
 			slot := warm.slot(p)
 			for i := range slot {
-				slot[i] = math.Float32frombits(binary.LittleEndian.Uint32(wbuf[1+4*i:]))
+				v := math.Float32frombits(binary.LittleEndian.Uint32(wbuf[1+4*i:]))
+				if f := float64(v); valid == 1 && (math.IsNaN(f) || math.IsInf(f, 0)) {
+					return fmt.Errorf("%w: warm %d: non-finite coefficient %d", ErrCheckpoint, p, i)
+				}
+				slot[i] = v
 			}
 		}
 	}
